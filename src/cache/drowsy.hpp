@@ -22,6 +22,7 @@ struct DrowsyStats {
   u64 drowsy_line_ticks = 0;  ///< sum over ticks of drowsy-line count
   u64 ticks = 0;          ///< accesses observed
   void reset() { *this = DrowsyStats{}; }
+  bool operator==(const DrowsyStats&) const = default;
 };
 
 class DrowsyCache {

@@ -39,6 +39,7 @@ struct CacheStats {
   u64 duplicate_invalidations = 0;
 
   void reset() { *this = CacheStats{}; }
+  bool operator==(const CacheStats&) const = default;
 
   CacheStats& operator+=(const CacheStats& o) {
     accesses += o.accesses;
@@ -68,6 +69,7 @@ struct TlbStats {
   u64 misses = 0;
   u64 walks = 0;  ///< page-table walks (== misses; kept for clarity)
   void reset() { *this = TlbStats{}; }
+  bool operator==(const TlbStats&) const = default;
 };
 
 struct FetchStats {
@@ -85,6 +87,7 @@ struct FetchStats {
   /// fault injection.
   u64 link_faults_dropped = 0;
   void reset() { *this = FetchStats{}; }
+  bool operator==(const FetchStats&) const = default;
 };
 
 }  // namespace wp::cache

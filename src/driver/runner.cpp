@@ -171,18 +171,39 @@ RunResult Runner::run(const PreparedWorkload& prepared,
                       const cache::CacheGeometry& icache,
                       const SchemeSpec& spec, workloads::InputSize input,
                       const sim::BudgetHook* budget_hook) const {
-  const layout::LayoutResult& laid = prepared.layoutFor(spec.layout);
-  const mem::Image& image = laid.image;
-  if (spec.scheme == cache::Scheme::kWayPlacement) {
-    WP_ENSURE(spec.wp_area_bytes > 0,
-              "SchemeSpec.wp_area_bytes must be non-zero for the "
-              "way-placement scheme");
-    WP_ENSURE(spec.wp_area_bytes % mem::kPageBytes == 0,
-              "SchemeSpec.wp_area_bytes (" +
-                  std::to_string(spec.wp_area_bytes) +
-                  ") must be a multiple of the " +
-                  std::to_string(mem::kPageBytes) + "-byte page size");
+  const GroupMember member{icache, spec};
+  return std::move(
+      runGroup(prepared, std::span(&member, 1), input, budget_hook).front());
+}
+
+std::vector<RunResult> Runner::runGroup(const PreparedWorkload& prepared,
+                                        std::span<const GroupMember> members,
+                                        workloads::InputSize input,
+                                        const sim::BudgetHook* budget_hook)
+    const {
+  WP_ENSURE(!members.empty(), "runGroup needs at least one member");
+  std::vector<const layout::LayoutResult*> laid;
+  laid.reserve(members.size());
+  for (const GroupMember& m : members) {
+    const SchemeSpec& spec = m.spec;
+    if (spec.scheme == cache::Scheme::kWayPlacement) {
+      WP_ENSURE(spec.wp_area_bytes > 0,
+                "SchemeSpec.wp_area_bytes must be non-zero for the "
+                "way-placement scheme");
+      WP_ENSURE(spec.wp_area_bytes % mem::kPageBytes == 0,
+                "SchemeSpec.wp_area_bytes (" +
+                    std::to_string(spec.wp_area_bytes) +
+                    ") must be a multiple of the " +
+                    std::to_string(mem::kPageBytes) + "-byte page size");
+    }
+    laid.push_back(&prepared.layoutFor(spec.layout));
+    WP_ENSURE(&laid.back()->image == &laid.front()->image,
+              "runGroup members must share one image: layout '" +
+                  spec.layout + "' of workload '" + prepared.name +
+                  "' resolves to another");
   }
+  const mem::Image& image = laid.front()->image;
+  const std::size_t n = members.size();
 
   // The metrics registry's phase timer keeps wall-clock (observability:
   // "where did the run's time go"), but the cell's own simulate_seconds
@@ -197,43 +218,65 @@ RunResult Runner::run(const PreparedWorkload& prepared,
   image.loadInto(memory);
   prepared.workload->prepare(memory, input);
 
-  sim::MachineConfig machine = machineFor(icache, spec);
-  if (budget_hook != nullptr) machine.budget_hook = *budget_hook;
-  if (machine.fetch.scheme == cache::Scheme::kWayPlacement) {
-    // Clamp the WP area to the image: keeps resize storms (which
-    // restore the configured area) inside the image too.
-    machine.fetch.wp_area_bytes =
-        clampWpAreaToImage(machine.fetch.wp_area_bytes, image);
+  std::vector<sim::MachineConfig> machines;
+  std::vector<cache::FetchPathConfig> lanes;
+  machines.reserve(n);
+  lanes.reserve(n);
+  for (const GroupMember& m : members) {
+    sim::MachineConfig machine = machineFor(m.icache, m.spec);
+    if (budget_hook != nullptr) machine.budget_hook = *budget_hook;
+    if (machine.fetch.scheme == cache::Scheme::kWayPlacement) {
+      // Clamp the WP area to the image: keeps resize storms (which
+      // restore the configured area) inside the image too.
+      machine.fetch.wp_area_bytes =
+          clampWpAreaToImage(machine.fetch.wp_area_bytes, image);
+    }
+    lanes.push_back(machine.fetch);
+    machines.push_back(std::move(machine));
   }
 
-  sim::Processor proc(machine, image, memory);
+  // Everything but the fetch configuration is shared, and machineFor
+  // builds it identically for every member.
+  sim::Processor proc(machines.front(), lanes, image, memory);
 
-  std::optional<fault::FaultInjector> injector;
-  if (spec.fault.runtimeEnabled()) {
-    injector.emplace(spec.fault, seed_);
-    injector->attach(proc.fetchPath());
+  // Injectors register themselves with a lane's fetch path, so they
+  // must not move once attached.
+  std::vector<std::unique_ptr<fault::FaultInjector>> injectors(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!members[i].spec.fault.runtimeEnabled()) continue;
+    injectors[i] =
+        std::make_unique<fault::FaultInjector>(members[i].spec.fault, seed_);
+    injectors[i]->attach(proc.laneFetchPath(i));
   }
 
-  RunResult result;
-  result.layout_strategy = laid.report.strategy;
-  result.layout_chains = laid.report.chains;
-  result.layout_repairs = laid.report.repairs;
-  if (machine.fetch.scheme == cache::Scheme::kWayPlacement) {
-    // Coverage against the *clamped* area — what the hardware will
-    // actually probe single-way.
-    result.wp_area_coverage = laid.report.coverage(machine.fetch.wp_area_bytes);
-  }
-  result.stats = proc.run();
-  result.simulate_seconds = threadCpuSeconds() - simulate_cpu_start;
+  std::vector<sim::RunStats> stats = proc.runLanes();
+  const double simulate_share =
+      (threadCpuSeconds() - simulate_cpu_start) / static_cast<double>(n);
   simulate_span.stop();
-  metrics_.counter("guest.instructions").add(result.stats.instructions);
 
-  ScopedTimer price_span(metrics_.timer("phase.price"));
-  result.energy = sim::Processor::price(model_, machine, result.stats);
-  result.output = prepared.workload->output(memory);
-  result.price_seconds = price_span.stop();
-  if (injector.has_value()) result.injected = injector->stats();
-  return result;
+  std::vector<RunResult> results(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    RunResult& result = results[i];
+    result.layout_strategy = laid[i]->report.strategy;
+    result.layout_chains = laid[i]->report.chains;
+    result.layout_repairs = laid[i]->report.repairs;
+    if (machines[i].fetch.scheme == cache::Scheme::kWayPlacement) {
+      // Coverage against the *clamped* area — what the hardware will
+      // actually probe single-way.
+      result.wp_area_coverage =
+          laid[i]->report.coverage(machines[i].fetch.wp_area_bytes);
+    }
+    result.stats = std::move(stats[i]);
+    result.simulate_seconds = simulate_share;
+    metrics_.counter("guest.instructions").add(result.stats.instructions);
+
+    ScopedTimer price_span(metrics_.timer("phase.price"));
+    result.energy = sim::Processor::price(model_, machines[i], result.stats);
+    result.output = prepared.workload->output(memory);
+    result.price_seconds = price_span.stop();
+    if (injectors[i]) result.injected = injectors[i]->stats();
+  }
+  return results;
 }
 
 RunResult Runner::runCoRun(const std::vector<const PreparedWorkload*>& group,

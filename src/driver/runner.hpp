@@ -15,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -119,7 +120,10 @@ struct RunResult {
   /// clock: it is the guest-MIPS denominator, and a wall span on an
   /// oversubscribed host (WP_JOBS above the core count) would charge
   /// the cell for time the scheduler gave its neighbours, making
-  /// recordings incomparable across WP_JOBS settings.
+  /// recordings incomparable across WP_JOBS settings. A cell priced as
+  /// one of k lanes of a shared execution (Runner::runGroup) records
+  /// the execution's thread CPU time divided by k, so the sum over
+  /// cells is still the CPU time spent.
   double simulate_seconds = 0.0;
   double price_seconds = 0.0;
   /// Guest-instruction throughput of the simulation in millions of
@@ -194,6 +198,13 @@ struct PreparedWorkload {
       std::make_unique<std::mutex>();
 };
 
+/// One member of a shared-execution group (Runner::runGroup): a cache
+/// geometry and a solo scheme, priced from the group's one execution.
+struct GroupMember {
+  cache::CacheGeometry icache;
+  SchemeSpec spec;
+};
+
 /// Normalized headline metrics of a scheme run against its baseline.
 struct Normalized {
   double icache_energy = 1.0;  ///< scheme / baseline I-cache energy
@@ -248,6 +259,23 @@ class Runner {
                                   workloads::InputSize::kLarge,
                               const sim::BudgetHook* budget_hook =
                                   nullptr) const;
+
+  /// Steps 4-5 for several members of one prepared workload whose
+  /// layouts resolve to one image: the guest executes once, and each
+  /// member is priced from its own fetch/timing lane of that execution
+  /// (see sim::Processor). run() is the one-member case. Result i equals
+  /// run() of member i in every simulated field; of the host times,
+  /// each member's simulate_seconds is the group's thread CPU time
+  /// divided by the member count, so the members' sum is still the CPU
+  /// time spent. A member's runtime fault injector corrupts only its
+  /// own lane. Like run(), it simulates every member solo (co-run
+  /// fields are runCoRun's). Throws SimError when the members' layouts
+  /// resolve to different images or when the run fails; no member's
+  /// result survives a throw.
+  [[nodiscard]] std::vector<RunResult> runGroup(
+      const PreparedWorkload& prepared, std::span<const GroupMember> members,
+      workloads::InputSize input = workloads::InputSize::kLarge,
+      const sim::BudgetHook* budget_hook = nullptr) const;
 
   /// Per-process slice of a co-run, read back for equivalence checks:
   /// every process's hashes must match its solo run exactly.

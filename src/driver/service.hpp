@@ -91,7 +91,7 @@ struct ServiceConfig {
 /// The daemon behind wp_serve: validates requests, admits them through
 /// a bounded queue onto worker threads, and executes them against one
 /// shared SweepExecutor. The executor's memo makes concurrent requests
-/// for the same cell collapse to one compute (call_once per cell), and
+/// for the same cell collapse to one compute (one claim per cell), and
 /// its WP_STORE/WP_CHECKPOINT plumbing makes every reply durable before
 /// it is sent.
 class SweepService {

@@ -32,12 +32,24 @@ unsigned jobsFromEnv() {
   return v == 0 ? ThreadPool::hardwareThreads() : static_cast<unsigned>(v);
 }
 
+namespace {
+
+/// CellEntry::state values.
+enum : u8 { kIdle, kClaimed, kSettled };
+
+}  // namespace
+
 struct SweepExecutor::CellEntry {
   std::string workload;
   cache::CacheGeometry icache;
   SchemeSpec spec;
-  std::once_flag once;
-  /// Set after the once-body produced a usable result (computed or
+  /// Who computes the cell: kIdle until a caller claims it, kClaimed
+  /// while that caller (or the group task it handed the cell to)
+  /// works, kSettled once the fate is final (ready or quarantined). A
+  /// claim rather than a once_flag, because one group task settles
+  /// many cells. Guarded by SweepExecutor::memo_mutex_.
+  u8 state = kIdle;
+  /// Set after the compute produced a usable result (computed or
   /// restored); writeJsonReport and aggregation skip entries without
   /// it. Mutually exclusive with `quarantined`.
   std::atomic<bool> ready{false};
@@ -60,9 +72,13 @@ struct SweepExecutor::CellEntry {
   /// Host wall-clock of the whole cell compute (simulate + price) and
   /// the pool worker that ran it (-1: computed on an external thread;
   /// -2: restored from the journal; -3: served from the result store —
-  /// wall_seconds is then the original compute's).
+  /// wall_seconds is then the original compute's). A cell computed as
+  /// one of `lanes` lanes of a shared execution records the group's
+  /// wall and thread-CPU (simulate_seconds) time divided by `lanes`, so
+  /// summing cells still gives the time spent.
   double wall_seconds = 0.0;
   int worker = -1;
+  unsigned lanes = 0;  ///< lanes of the execution that computed it
 };
 
 SweepExecutor::SweepExecutor(std::vector<std::string> workload_names,
@@ -221,81 +237,48 @@ std::string SweepExecutor::keyOf(const std::string& workload,
   return os.str();
 }
 
-void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
-                                const PreparedWorkload& p,
-                                const cache::CacheGeometry& icache,
-                                const SchemeSpec& spec) {
-  const int worker = ThreadPool::currentWorkerIndex();
+bool SweepExecutor::needsImageDigest() const {
+  return store_ != nullptr || journal_ != nullptr ||
+         supervisor_.config().isolate;
+}
 
+u64 SweepExecutor::imageDigestOf(const mem::Image& image) {
+  // Under the lock, so concurrent cells of one image hash it once.
+  std::lock_guard<std::mutex> lock(digest_mutex_);
+  const auto [it, inserted] = image_digests_.try_emplace(&image, 0);
+  if (inserted) it->second = imageDigest(image);
+  return it->second;
+}
+
+bool SweepExecutor::interruptIfRequested(CellEntry& entry,
+                                         const std::string& key) {
   // Interrupt check before any work (and before touching the store, so
   // a draining bench never takes a lease it won't use): a latched
   // shutdown quarantines every not-yet-started cell quietly — no retry
   // ladder, no per-cell stderr line — so a SIGTERM'd sweep reaches its
   // flush-and-exit path in one pool drain instead of minutes later.
-  if (interrupt_latch_ != nullptr && interrupt_latch_->requested()) {
-    entry.failure = "cell '" + key +
-                    "': not started — shutdown requested before compute";
-    entry.interrupted = true;
-    entry.quarantined.store(true, std::memory_order_release);
-    metrics_.counter("cells.interrupted").add();
-    if (trace_) {
-      trace_->write(TraceEvent("cell_interrupted").str("key", key));
-    }
-    return;
+  if (interrupt_latch_ == nullptr || !interrupt_latch_->requested()) {
+    return false;
   }
-
-  // Co-run cells resolve their partner group up front (the primary
-  // first, then every corun_partners name against the prepared suite)
-  // and fold every participant's image digest, so a journal or store
-  // record is tied to *all* the code the cell simulates, not just the
-  // primary's. An unresolvable partner is a deterministic cell failure:
-  // it rides the normal retry/quarantine ladder with the key attached
-  // instead of aborting the sweep.
-  std::vector<const PreparedWorkload*> group;
-  std::string group_error;
-  u64 image_digest = 0;
-  if (spec.corunEnabled()) {
-    group.push_back(&p);
-    std::string names = spec.corun_partners;
-    while (!names.empty() && group_error.empty()) {
-      const std::size_t comma = names.find(',');
-      const std::string name = names.substr(0, comma);
-      names = comma == std::string::npos ? "" : names.substr(comma + 1);
-      if (name.empty()) {
-        group_error = "empty co-run partner name in '" +
-                      spec.corun_partners + "'";
-        break;
-      }
-      const PreparedWorkload* partner = nullptr;
-      for (const PreparedWorkload& cand : prepared_) {
-        if (cand.name == name) {
-          partner = &cand;
-          break;
-        }
-      }
-      if (partner == nullptr) {
-        group_error = "co-run partner '" + name +
-                      "' is not a prepared workload of this sweep";
-        break;
-      }
-      group.push_back(partner);
-    }
-    if (group_error.empty()) {
-      u64 h = 0xcbf29ce484222325ULL;
-      for (const PreparedWorkload* pw : group) {
-        h ^= imageDigest(pw->imageFor(spec.layout));
-        h *= 0x100000001b3ULL;
-      }
-      image_digest = h;
-    }
-  } else {
-    image_digest = imageDigest(p.imageFor(spec.layout));
+  entry.failure = "cell '" + key +
+                  "': not started — shutdown requested before compute";
+  entry.interrupted = true;
+  entry.quarantined.store(true, std::memory_order_release);
+  metrics_.counter("cells.interrupted").add();
+  if (trace_) {
+    trace_->write(TraceEvent("cell_interrupted").str("key", key));
   }
+  return true;
+}
 
+bool SweepExecutor::serveFromRecords(CellEntry& entry, const std::string& key,
+                                     u64 image_digest,
+                                     ResultStore::Lease& lease) {
+  const int worker = ThreadPool::currentWorkerIndex();
   // Result store first: it coordinates across *processes*, so even the
   // lookup participates in the lease protocol — on a miss this cell now
-  // holds its compute lease (released on every exit path below).
-  ResultStore::Lease lease;
+  // holds its compute lease (released on every exit path of the
+  // caller).
   if (store_) {
     ResultStore::Outcome outcome = store_->open(key, image_digest);
     if (outcome.record) {
@@ -317,7 +300,7 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
                                       entry.wall_seconds));
       }
       entry.ready.store(true, std::memory_order_release);
-      return;
+      return true;
     }
     lease = std::move(outcome.lease);
   }
@@ -347,7 +330,7 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
                       entry.wall_seconds);
         }
         entry.ready.store(true, std::memory_order_release);
-        return;
+        return true;
       }
       metrics_.counter("checkpoint.rejected").add();
       if (trace_) {
@@ -356,7 +339,53 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
       }
     }
   }
+  return false;
+}
 
+void SweepExecutor::publishComputed(CellEntry& entry, const std::string& key,
+                                    u64 image_digest,
+                                    ResultStore::Lease& lease) {
+  metrics_.counter("cells.computed").add();
+  if (entry.attempts > 1) metrics_.counter("cells.healed").add();
+  if (trace_) {
+    TraceEvent ev("cell_end");
+    ev.str("key", key)
+        .num("attempt", entry.attempts)
+        .num("worker", entry.worker)
+        .num("lanes", entry.lanes)
+        .num("wall_seconds", entry.wall_seconds)
+        .num("simulate_seconds", entry.result.simulate_seconds)
+        .num("price_seconds", entry.result.price_seconds);
+    // Omitted (not 0) when the simulate span rounded to 0 s.
+    if (const auto mips = entry.result.guestMips()) {
+      ev.num("guest_mips", *mips);
+    }
+    ev.num("instructions", entry.result.stats.instructions)
+        .num("cycles", entry.result.stats.cycles)
+        .str("layout", entry.result.layout_strategy)
+        .num("layout_chains", entry.result.layout_chains)
+        .num("layout_repairs", entry.result.layout_repairs)
+        .num("wp_area_coverage", entry.result.wp_area_coverage);
+    trace_->write(ev);
+  }
+  if (journal_) {
+    journal_->append(
+        renderRecord(key, image_digest, entry.result, entry.wall_seconds));
+  }
+  if (store_) {
+    store_->put(lease, key, image_digest, entry.result, entry.wall_seconds);
+  }
+  entry.ready.store(true, std::memory_order_release);
+}
+
+void SweepExecutor::runAttempts(
+    CellEntry& entry, const std::string& key, const PreparedWorkload& p,
+    const std::vector<const PreparedWorkload*>& corun_group,
+    const std::string& group_error, u64 image_digest,
+    ResultStore::Lease& lease) {
+  const int worker = ThreadPool::currentWorkerIndex();
+  const cache::CacheGeometry& icache = entry.icache;
+  const SchemeSpec& spec = entry.spec;
   const unsigned max_attempts = supervisor_.maxAttempts();
   const bool is_baseline = spec.scheme == cache::Scheme::kBaseline;
   const bool isolate = supervisor_.config().isolate;
@@ -377,7 +406,7 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
         if (!is_baseline) supervisor_.injectConfigCellFault(attempt - 1);
         const sim::BudgetHook watchdog = supervisor_.watchdogFor(key);
         if (spec.corunEnabled()) {
-          return runner_.runCoRun(group, icache, spec,
+          return runner_.runCoRun(corun_group, icache, spec,
                                   workloads::InputSize::kLarge,
                                   watchdog.check ? &watchdog : nullptr);
         }
@@ -420,37 +449,8 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
       }
       entry.wall_seconds = span.stop();
       entry.worker = worker;
-      metrics_.counter("cells.computed").add();
-      if (attempt > 1) metrics_.counter("cells.healed").add();
-      if (trace_) {
-        TraceEvent ev("cell_end");
-        ev.str("key", key)
-            .num("attempt", attempt)
-            .num("worker", worker)
-            .num("wall_seconds", entry.wall_seconds)
-            .num("simulate_seconds", entry.result.simulate_seconds)
-            .num("price_seconds", entry.result.price_seconds);
-        // Omitted (not 0) when the simulate span rounded to 0 s.
-        if (const auto mips = entry.result.guestMips()) {
-          ev.num("guest_mips", *mips);
-        }
-        ev.num("instructions", entry.result.stats.instructions)
-            .num("cycles", entry.result.stats.cycles)
-            .str("layout", entry.result.layout_strategy)
-            .num("layout_chains", entry.result.layout_chains)
-            .num("layout_repairs", entry.result.layout_repairs)
-            .num("wp_area_coverage", entry.result.wp_area_coverage);
-        trace_->write(ev);
-      }
-      if (journal_) {
-        journal_->append(renderRecord(key, image_digest, entry.result,
-                                      entry.wall_seconds));
-      }
-      if (store_) {
-        store_->put(lease, key, image_digest, entry.result,
-                    entry.wall_seconds);
-      }
-      entry.ready.store(true, std::memory_order_release);
+      entry.lanes = 1;
+      publishComputed(entry, key, image_digest, lease);
       return;
     } catch (const SimError& e) {
       // Satellite of the supervision layer: no SimError leaves a cell
@@ -494,31 +494,251 @@ void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
   }
 }
 
+void SweepExecutor::computeCell(CellEntry& entry, const std::string& key,
+                                const PreparedWorkload& p) {
+  if (interruptIfRequested(entry, key)) return;
+  const SchemeSpec& spec = entry.spec;
+
+  // Co-run cells resolve their partner group up front (the primary
+  // first, then every corun_partners name against the prepared suite)
+  // and fold every participant's image digest, so a journal or store
+  // record is tied to *all* the code the cell simulates, not just the
+  // primary's. An unresolvable partner is a deterministic cell failure:
+  // it rides the normal retry/quarantine ladder with the key attached
+  // instead of aborting the sweep.
+  std::vector<const PreparedWorkload*> group;
+  std::string group_error;
+  if (spec.corunEnabled()) {
+    group.push_back(&p);
+    std::string names = spec.corun_partners;
+    while (!names.empty() && group_error.empty()) {
+      const std::size_t comma = names.find(',');
+      const std::string name = names.substr(0, comma);
+      names = comma == std::string::npos ? "" : names.substr(comma + 1);
+      if (name.empty()) {
+        group_error = "empty co-run partner name in '" +
+                      spec.corun_partners + "'";
+        break;
+      }
+      const PreparedWorkload* partner = nullptr;
+      for (const PreparedWorkload& cand : prepared_) {
+        if (cand.name == name) {
+          partner = &cand;
+          break;
+        }
+      }
+      if (partner == nullptr) {
+        group_error = "co-run partner '" + name +
+                      "' is not a prepared workload of this sweep";
+        break;
+      }
+      group.push_back(partner);
+    }
+  }
+  // Only the store, the journal and isolated workers read the digest,
+  // so a sweep with none of them never hashes an image.
+  u64 image_digest = 0;
+  if (needsImageDigest()) {
+    if (!spec.corunEnabled()) {
+      image_digest = imageDigestOf(p.imageFor(spec.layout));
+    } else if (group_error.empty()) {
+      u64 h = 0xcbf29ce484222325ULL;
+      for (const PreparedWorkload* pw : group) {
+        h ^= imageDigestOf(pw->imageFor(spec.layout));
+        h *= 0x100000001b3ULL;
+      }
+      image_digest = h;
+    }
+  }
+
+  ResultStore::Lease lease;
+  if (serveFromRecords(entry, key, image_digest, lease)) return;
+  runAttempts(entry, key, p, group, group_error, image_digest, lease);
+}
+
+void SweepExecutor::computeGroup(const PreparedWorkload& p,
+                                 const std::vector<Claimed>& cells) {
+  // Every cell settles exactly once on every path: a throw other than a
+  // cell failure gives the unsettled claims back before propagating.
+  try {
+    const int worker = ThreadPool::currentWorkerIndex();
+    const u64 image_digest =
+        needsImageDigest()
+            ? imageDigestOf(p.imageFor(cells.front().entry->spec.layout))
+            : 0;
+
+    // Store hits and journal records are served as for solo cells;
+    // only the misses share the execution.
+    std::vector<ResultStore::Lease> leases(cells.size());
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      CellEntry& entry = *cells[i].entry;
+      if (interruptIfRequested(entry, cells[i].key) ||
+          serveFromRecords(entry, cells[i].key, image_digest, leases[i])) {
+        settle(entry);
+      } else {
+        pending.push_back(i);
+      }
+    }
+    // A solo attempt ladder: the one-lane case, and the fallback of a
+    // failed group.
+    const auto runSolo = [&](std::size_t i) {
+      runAttempts(*cells[i].entry, cells[i].key, p, {}, {}, image_digest,
+                  leases[i]);
+      settle(*cells[i].entry);
+    };
+    if (pending.size() == 1) runSolo(pending.front());
+    if (pending.size() < 2) return;
+
+    std::vector<GroupMember> members;
+    members.reserve(pending.size());
+    for (const std::size_t i : pending) {
+      CellEntry& entry = *cells[i].entry;
+      members.push_back({entry.icache, entry.spec});
+      entry.attempts = 1;
+      if (trace_) {
+        trace_->write(TraceEvent("cell_start")
+                          .str("key", cells[i].key)
+                          .num("attempt", 1)
+                          .num("worker", worker)
+                          .boolean("isolated", false)
+                          .num("lanes", static_cast<u64>(pending.size())));
+      }
+    }
+
+    std::vector<RunResult> results;
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      results = runner_.runGroup(p, members);
+    } catch (const SimError& e) {
+      // No member keeps anything from the failed execution: each cell
+      // runs the solo ladder from attempt 1, so only a cell that fails
+      // on its own quarantines.
+      metrics_.counter("exec_groups.failed").add();
+      if (trace_) {
+        trace_->write(TraceEvent("group_failure")
+                          .str("workload", p.name)
+                          .num("lanes", static_cast<u64>(pending.size()))
+                          .num("worker", worker)
+                          .str("error", e.what()));
+      }
+      for (const std::size_t i : pending) runSolo(i);
+      return;
+    }
+    const double wall_share =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count() /
+        static_cast<double>(pending.size());
+
+    metrics_.counter("exec_groups").add();
+    for (std::size_t j = 0; j < pending.size(); ++j) {
+      const std::size_t i = pending[j];
+      CellEntry& entry = *cells[i].entry;
+      entry.result = std::move(results[j]);
+      entry.wall_seconds = wall_share;
+      entry.worker = worker;
+      entry.lanes = static_cast<unsigned>(pending.size());
+      metrics_.timer("cell.wall")
+          .record(std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::duration<double>(wall_share)));
+      metrics_.counter("cells.shared").add();
+      publishComputed(entry, cells[i].key, image_digest, leases[i]);
+      settle(entry);
+    }
+  } catch (...) {
+    for (const Claimed& c : cells) unclaim(*c.entry);
+    throw;
+  }
+}
+
+bool SweepExecutor::groupable(const SchemeSpec& spec) const {
+  const SupervisorConfig& sc = supervisor_.config();
+  return !sc.isolate && sc.cell_fault == fault::CellFault::kNone &&
+         sc.cell_timeout_ms == 0 && !spec.corunEnabled() &&
+         !spec.fault.runtimeEnabled() && !spec.fault.cellFaultEnabled() &&
+         spec.drowsy_window == 0;
+}
+
+SweepExecutor::CellEntry& SweepExecutor::entryFor(
+    const PreparedWorkload& p, const cache::CacheGeometry& icache,
+    const SchemeSpec& spec, const std::string& key) {
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  std::unique_ptr<CellEntry>& slot = memo_[key];
+  if (!slot) {
+    slot = std::make_unique<CellEntry>();
+    slot->workload = p.name;
+    slot->icache = icache;
+    slot->spec = spec;
+  }
+  return *slot;
+}
+
+bool SweepExecutor::claim(CellEntry& entry) {
+  std::lock_guard<std::mutex> lock(memo_mutex_);
+  if (entry.state != kIdle) return false;
+  entry.state = kClaimed;
+  return true;
+}
+
+void SweepExecutor::settle(CellEntry& entry) {
+  {
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    entry.state = kSettled;
+  }
+  settled_cv_.notify_all();
+}
+
+void SweepExecutor::unclaim(CellEntry& entry) {
+  {
+    std::lock_guard<std::mutex> lock(memo_mutex_);
+    if (entry.state != kClaimed) return;
+    entry.state = kIdle;
+  }
+  settled_cv_.notify_all();
+}
+
+bool SweepExecutor::waitSettled(CellEntry& entry) {
+  std::unique_lock<std::mutex> lock(memo_mutex_);
+  settled_cv_.wait(lock, [&entry] { return entry.state != kClaimed; });
+  return entry.state == kSettled;
+}
+
+bool SweepExecutor::settleEntry(CellEntry& entry, const std::string& key,
+                                const PreparedWorkload& p) {
+  // Exactly-once supervised compute; a second thread asking for the
+  // same cell blocks here until the first settles the cell's fate
+  // (ready or quarantined — computeCell itself never throws for a cell
+  // failure). A settled cell's fate is published through its atomics
+  // before the claim settles, so a memo hit needs no lock.
+  if (entry.ready.load(std::memory_order_acquire) ||
+      entry.quarantined.load(std::memory_order_acquire)) {
+    return false;
+  }
+  for (;;) {
+    if (claim(entry)) {
+      computeClaimed({&p, &entry, key});
+      return true;
+    }
+    if (waitSettled(entry)) return false;
+  }
+}
+
+void SweepExecutor::computeClaimed(const Claimed& c) {
+  try {
+    computeCell(*c.entry, c.key, *c.p);
+  } catch (...) {
+    unclaim(*c.entry);
+    throw;
+  }
+  settle(*c.entry);
+}
+
 SweepExecutor::CellEntry& SweepExecutor::ensureCell(
     const PreparedWorkload& p, const cache::CacheGeometry& icache,
     const SchemeSpec& spec) {
   const std::string key = keyOf(p.name, icache, spec);
-  CellEntry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(memo_mutex_);
-    std::unique_ptr<CellEntry>& slot = memo_[key];
-    if (!slot) {
-      slot = std::make_unique<CellEntry>();
-      slot->workload = p.name;
-      slot->icache = icache;
-      slot->spec = spec;
-    }
-    entry = slot.get();
-  }
-  // Exactly-once supervised compute; a second thread asking for the
-  // same cell blocks here until the first settles the cell's fate
-  // (ready or quarantined — the once-body itself never throws).
-  bool settled_here = false;
-  std::call_once(entry->once, [&] {
-    computeCell(*entry, key, p, icache, spec);
-    settled_here = true;
-  });
-  if (!settled_here) {
+  CellEntry& entry = entryFor(p, icache, spec, key);
+  if (!settleEntry(entry, key, p)) {
     // Either a true memo hit or a wait on another thread's compute —
     // both mean this request cost (almost) nothing.
     metrics_.counter("memo.hits").add();
@@ -527,24 +747,76 @@ SweepExecutor::CellEntry& SweepExecutor::ensureCell(
           "worker", ThreadPool::currentWorkerIndex()));
     }
   }
-  return *entry;
+  return entry;
 }
 
 void SweepExecutor::runAll(const std::vector<Cell>& cells) {
+  // Every request in grid order: per workload, per cell, the baseline
+  // first (normalize() needs it for every cell of the geometry). A
+  // co-run cell normalizes against the *co-run* baseline (same
+  // quantum/policy/partners, baseline scheme), so the comparison
+  // isolates the scheme, not the multiprogramming. Each distinct cell
+  // this call claims is computed by exactly one task; a repeated or
+  // already-claimed cell is a memo hit, as it would be for ensureCell.
+  std::vector<Claimed> requested;
+  std::vector<std::vector<Claimed>> groups;
+  std::map<std::pair<const PreparedWorkload*, std::string>, std::size_t>
+      group_of;
   for (const PreparedWorkload& p : prepared_) {
     for (const Cell& cell : cells) {
-      pool_.submit([this, &p, cell] {
-        // The baseline first: normalize() needs it for every cell of
-        // this geometry, and ensureCell dedups it across schemes. A
-        // co-run cell normalizes against the *co-run* baseline (same
-        // quantum/policy/partners, baseline scheme), so the comparison
-        // isolates the scheme, not the multiprogramming.
-        ensureCell(p, cell.icache, SchemeSpec::baselineFor(cell.spec));
-        ensureCell(p, cell.icache, cell.spec);
+      for (const SchemeSpec& spec :
+           {SchemeSpec::baselineFor(cell.spec), cell.spec}) {
+        Claimed c{&p, nullptr, keyOf(p.name, cell.icache, spec)};
+        c.entry = &entryFor(p, cell.icache, spec, c.key);
+        requested.push_back(c);
+        if (!claim(*c.entry)) {
+          metrics_.counter("memo.hits").add();
+          if (trace_) {
+            trace_->write(TraceEvent("memo_hit").str("key", c.key).num(
+                "worker", ThreadPool::currentWorkerIndex()));
+          }
+          continue;
+        }
+        if (!groupable(spec)) {
+          pool_.submit([this, c] { computeClaimed(c); });
+          continue;
+        }
+        // Canonical layouts name images, so equal canonical specs of
+        // one workload share an execution.
+        const auto [it, fresh] = group_of.try_emplace(
+            {&p, layout::resolveStrategy(spec.layout).canonical()},
+            groups.size());
+        if (fresh) groups.emplace_back();
+        groups[it->second].push_back(std::move(c));
+      }
+    }
+  }
+
+  // With several workers, chunk the groups so the pool stays fed: at
+  // most ceil(lanes / jobs) lanes per task, in balanced chunks. The
+  // chunking depends only on the grid and the job count, and no
+  // result depends on it.
+  std::size_t lanes = 0;
+  for (const std::vector<Claimed>& g : groups) lanes += g.size();
+  const std::size_t jobs = pool_.threadCount();
+  const std::size_t cap = std::max<std::size_t>(1, (lanes + jobs - 1) / jobs);
+  for (const std::vector<Claimed>& g : groups) {
+    const std::size_t chunks = (g.size() + cap - 1) / cap;
+    for (std::size_t k = 0; k < chunks; ++k) {
+      std::vector<Claimed> chunk(
+          g.begin() + static_cast<std::ptrdiff_t>(k * g.size() / chunks),
+          g.begin() +
+              static_cast<std::ptrdiff_t>((k + 1) * g.size() / chunks));
+      pool_.submit([this, chunk = std::move(chunk)] {
+        computeGroup(*chunk.front().p, chunk);
       });
     }
   }
   pool_.wait();
+
+  // Cells another caller claimed first are settled (or given back) by
+  // that caller; like the per-cell tasks did, return only once each is.
+  for (const Claimed& c : requested) (void)settleEntry(*c.entry, c.key, *c.p);
 }
 
 const RunResult& SweepExecutor::run(const PreparedWorkload& p,
@@ -656,7 +928,10 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
      << "  \"engine\": \"" << sim::engineName(runner_.engine()) << "\",\n"
      << "  \"wall_seconds\": " << wall << ",\n"
      << "  \"workloads\": " << prepared_.size() << ",\n"
-     << "  \"host\": {\"guest_instructions\": " << guest_insts
+     << "  \"host\": {\"nproc\": " << ThreadPool::hardwareThreads()
+     << ", \"compiler\": \"" << jsonEscape(WP_COMPILER)
+     << "\", \"build_type\": \"" << jsonEscape(WP_BUILD_TYPE)
+     << "\", \"guest_instructions\": " << guest_insts
      << ", \"simulate_seconds\": " << simulate_total << ", \"guest_mips\": ";
   if (measurable_seconds > 0.0) {
     os << static_cast<double>(measurable_insts) / measurable_seconds / 1e6;
@@ -666,6 +941,8 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
   os << ", \"mips_measurable_cells\": " << mips_measurable
      << ", \"mips_unmeasurable_cells\": " << mips_unmeasurable
      << ", \"cells_computed\": " << metrics_.counter("cells.computed").value()
+     << ", \"cells_shared\": " << metrics_.counter("cells.shared").value()
+     << ", \"exec_groups\": " << metrics_.counter("exec_groups").value()
      << ", \"cells_restored\": " << metrics_.counter("cells.restored").value()
      << ", \"cells_from_store\": "
      << metrics_.counter("cells.from_store").value()
@@ -767,6 +1044,7 @@ void SweepExecutor::writeJsonReport(std::ostream& os) const {
        << ", \"attempts\": " << entry->attempts
        << ", \"restored\": " << jsonBool(entry->restored)
        << ", \"from_store\": " << jsonBool(entry->from_store)
+       << ", \"lanes\": " << entry->lanes
        << ", \"wall_seconds\": " << entry->wall_seconds
        << ", \"simulate_seconds\": " << entry->result.simulate_seconds
        << ", \"price_seconds\": " << entry->result.price_seconds
@@ -848,17 +1126,22 @@ void SweepExecutor::printSummary(std::ostream& os) const {
                       metrics_.counter("store.rejected").value()),
                   store_->degraded() ? " [DEGRADED]" : "");
   }
-  char line[640];
+  char line[768];
   std::snprintf(line, sizeof line,
                 "[wayplace] sweep: %zu workloads, %llu cells priced "
-                "(+%llu memo hits%s), %.1fM guest insts, simulate %.2fs host "
-                "(%s), wall %.2fs, jobs %u%s\n",
+                "(+%llu memo hits%s), %llu shared by %llu exec group(s), "
+                "%.1fM guest insts, simulate %.2fs host (%s), wall %.2fs, "
+                "jobs %u%s\n",
                 prepared_.size(),
                 static_cast<unsigned long long>(
                     metrics_.counter("cells.computed").value()),
                 static_cast<unsigned long long>(
                     metrics_.counter("memo.hits").value()),
-                extras, static_cast<double>(insts) / 1e6, simulate, mips, wall,
+                extras,
+                static_cast<unsigned long long>(
+                    metrics_.counter("cells.shared").value()),
+                static_cast<unsigned long long>(
+                    metrics_.counter("exec_groups").value()), static_cast<double>(insts) / 1e6, simulate, mips, wall,
                 pool_.threadCount(),
                 trace_ ? (", trace: " + trace_->path()).c_str() : "");
   os << line;

@@ -17,6 +17,15 @@
 // surfaced through quarantined() so a bench can exit 3
 // (degraded-but-complete) instead of aborting the whole figure.
 //
+// runAll executes each guest once per (workload, layout) for all the
+// cells it shares: cells that are solo, fault-free and not drowsy, in
+// an executor without WP_ISOLATE, WP_CELL_FAULT or WP_CELL_TIMEOUT_MS,
+// are priced as the lanes of one Runner::runGroup (see sim::Processor).
+// Each cell keeps its own key, memo entry, store lease and record,
+// journal line, trace events and counters. A group that throws keeps
+// no result: each of its cells runs the solo attempt ladder from
+// attempt 1, so fates, retries and quarantines match solo execution.
+//
 // Environment knobs (parsed strictly — garbage is a startup error, not
 // a silent default):
 //   WP_JOBS       worker-thread count; 0 or unset = one per hardware
@@ -57,6 +66,7 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <iosfwd>
 #include <map>
@@ -159,7 +169,11 @@ class SweepExecutor {
   /// Prices every (prepared workload × cell) plus the implied baselines
   /// across the pool. Already-memoized cells cost nothing; benches call
   /// this up front with their whole grid so the pool stays saturated
-  /// instead of draining at each table cell. Never throws for a failing
+  /// instead of draining at each table cell. Cells that can share an
+  /// execution (see the file comment) are computed as groups, one pool
+  /// task per group; with more than one worker, groups are split into
+  /// chunks of at most ceil(lanes / jobs) lanes so every worker gets
+  /// work. The split never changes a result. Never throws for a failing
   /// cell: failures retry and then quarantine (inspect via tryRun /
   /// quarantined()).
   void runAll(const std::vector<Cell>& cells);
@@ -223,15 +237,18 @@ class SweepExecutor {
   void emitJsonIfRequested() const;
 
   /// One-line human summary of the sweep so far — cells priced, memo
-  /// hits, restored/quarantined counts, guest instructions, host
-  /// throughput (MIPS), wall-clock and job count. Benches print this to
+  /// hits, shared cells and executions, restored/quarantined counts,
+  /// guest instructions, host throughput (MIPS), wall-clock and job
+  /// count. Benches print this to
   /// stderr (stderr, so the stdout tables stay byte-identical across
   /// job counts).
   void printSummary(std::ostream& os) const;
 
   /// Host-side counters/timers: this executor's "cells.computed" /
-  /// "memo.hits" / "cells.restored" / "cells.quarantined" /
-  /// "cells.failed_attempts" plus the shared Runner phase timers.
+  /// "cells.shared" (computed as a lane of a group of two or more) /
+  /// "exec_groups" (such groups executed) / "memo.hits" /
+  /// "cells.restored" / "cells.quarantined" / "cells.failed_attempts"
+  /// plus the shared Runner phase timers.
   [[nodiscard]] MetricsRegistry& metrics() const { return metrics_; }
   /// True when WP_TRACE requested a JSONL event log.
   [[nodiscard]] bool tracing() const { return trace_ != nullptr; }
@@ -242,21 +259,92 @@ class SweepExecutor {
 
  private:
   struct CellEntry;
+  /// A cell a runAll call claimed for computing.
+  struct Claimed {
+    const PreparedWorkload* p = nullptr;
+    CellEntry* entry = nullptr;
+    std::string key;
+  };
 
-  /// Finds-or-creates the memo entry and computes it exactly once
-  /// (concurrent callers for the same key block until it is ready).
-  /// The compute is supervised: journal restore first, then up to
-  /// maxAttempts() tries, then quarantine. Never throws for a cell
-  /// failure.
+  /// Claims @p entry's compute for the caller; false when another
+  /// caller holds the claim or the entry is settled.
+  bool claim(CellEntry& entry);
+  /// Marks a claimed entry settled (its fate is final); wakes waiters.
+  void settle(CellEntry& entry);
+  /// Gives up a claim whose compute threw, so the next caller retries
+  /// (the std::call_once contract). A no-op on an unclaimed entry.
+  void unclaim(CellEntry& entry);
+  /// Blocks while another caller holds @p entry's claim; returns whether
+  /// the entry is settled (false: the claim was given up).
+  bool waitSettled(CellEntry& entry);
+
+  /// Finds or creates the memo entry of @p key.
+  CellEntry& entryFor(const PreparedWorkload& p,
+                      const cache::CacheGeometry& icache,
+                      const SchemeSpec& spec, const std::string& key);
+
+  /// Settles @p entry exactly once: the first caller to claim it
+  /// computes it on the calling thread; concurrent callers block until
+  /// its fate is final. Returns true when this call computed it. The
+  /// compute is supervised and never throws for a cell failure.
+  bool settleEntry(CellEntry& entry, const std::string& key,
+                   const PreparedWorkload& p);
+
+  /// Computes the claimed cell @p c (computeCell) and settles it; gives
+  /// the claim back if the compute throws.
+  void computeClaimed(const Claimed& c);
+
+  /// Finds-or-creates the memo entry and settles it (see settleEntry),
+  /// counting a memo hit when another call computed it.
   CellEntry& ensureCell(const PreparedWorkload& p,
                         const cache::CacheGeometry& icache,
                         const SchemeSpec& spec);
 
-  /// The supervised once-body of ensureCell.
+  /// The supervised solo compute of a claimed cell: interrupt check,
+  /// store and journal lookup, then up to maxAttempts() tries, then
+  /// quarantine.
   void computeCell(CellEntry& entry, const std::string& key,
+                   const PreparedWorkload& p);
+
+  /// Computes claimed cells of one workload whose layouts resolve to
+  /// one image from a single execution; see the file comment.
+  void computeGroup(const PreparedWorkload& p,
+                    const std::vector<Claimed>& cells);
+
+  /// True when @p spec may be priced as a lane of a shared execution.
+  [[nodiscard]] bool groupable(const SchemeSpec& spec) const;
+
+  /// Quarantines @p entry without running it when the shutdown latch
+  /// has fired; returns whether it did.
+  bool interruptIfRequested(CellEntry& entry, const std::string& key);
+
+  /// Serves @p entry from the result store or the journal when either
+  /// holds a verified record (returns true). Otherwise returns false,
+  /// with @p lease holding the store's compute lease when a store is
+  /// open.
+  bool serveFromRecords(CellEntry& entry, const std::string& key,
+                        u64 image_digest, ResultStore::Lease& lease);
+
+  /// The solo attempt ladder of ensureCell, from attempt 1, ending in
+  /// a published result or quarantine. @p corun_group and
+  /// @p group_error carry a co-run cell's resolved partners.
+  void runAttempts(CellEntry& entry, const std::string& key,
                    const PreparedWorkload& p,
-                   const cache::CacheGeometry& icache,
-                   const SchemeSpec& spec);
+                   const std::vector<const PreparedWorkload*>& corun_group,
+                   const std::string& group_error, u64 image_digest,
+                   ResultStore::Lease& lease);
+
+  /// Counts, traces, journals and publishes the freshly computed
+  /// result in @p entry, then marks it ready.
+  void publishComputed(CellEntry& entry, const std::string& key,
+                       u64 image_digest, ResultStore::Lease& lease);
+
+  /// True when anything reads image digests: the result store, the
+  /// journal or isolated workers.
+  [[nodiscard]] bool needsImageDigest() const;
+  /// imageDigest(@p image), computed at most once per image for the
+  /// executor's lifetime.
+  [[nodiscard]] u64 imageDigestOf(const mem::Image& image);
 
   Runner runner_;
   mutable MetricsRegistry metrics_;
@@ -277,10 +365,18 @@ class SweepExecutor {
   std::unique_ptr<ResultStore> store_;
   ThreadPool pool_;
   std::vector<PreparedWorkload> prepared_;
-  mutable std::mutex memo_mutex_;  ///< also guards const report reads
-  /// Keyed by keyOf(); entries hold a once_flag, so they live behind a
-  /// unique_ptr (once_flag is neither movable nor copyable).
+  /// Guards memo_ and every entry's claim state; also guards const
+  /// report reads.
+  mutable std::mutex memo_mutex_;
+  /// Signalled when an entry's claim is settled or given up.
+  std::condition_variable settled_cv_;
+  /// Keyed by keyOf(); entries hold atomics, so they live behind a
+  /// unique_ptr (atomics are neither movable nor copyable).
   std::map<std::string, std::unique_ptr<CellEntry>> memo_;
+  /// imageDigestOf's cache: image address → digest. Images live in the
+  /// prepared workloads, whose layout maps never move a node.
+  std::mutex digest_mutex_;
+  std::map<const mem::Image*, u64> image_digests_;
   /// Extra writeJsonReport sections (addJsonSection), key → rendered
   /// JSON. Guarded by memo_mutex_ like the other report inputs.
   std::map<std::string, std::string> extra_json_;

@@ -30,6 +30,7 @@ struct BranchStats {
   u64 branches = 0;
   u64 mispredicts = 0;
   void reset() { *this = BranchStats{}; }
+  bool operator==(const BranchStats&) const = default;
 };
 
 /// Source/destination registers of an instruction, plus flag use/def.

@@ -29,11 +29,24 @@ MachineConfig baselineMachine(cache::Scheme scheme, u32 wp_area_bytes) {
 
 Processor::Processor(const MachineConfig& config, const mem::Image& image,
                      mem::Memory& memory)
-    : config_(config),
-      core_(image, memory),
-      fetch_(config.fetch),
-      dcache_(config.dcache),
-      timing_(config.timing) {}
+    : Processor(config, std::span(&config.fetch, 1), image, memory) {}
+
+Processor::Processor(const MachineConfig& config,
+                     std::span<const cache::FetchPathConfig> lanes,
+                     const mem::Image& image, mem::Memory& memory)
+    : config_(config), core_(image, memory), dcache_(config.dcache) {
+  WP_ENSURE(!lanes.empty(), "a Processor needs at least one lane");
+  config_.fetch = lanes.front();
+  lanes_.reserve(lanes.size());
+  for (const cache::FetchPathConfig& fetch : lanes) {
+    lanes_.emplace_back(fetch, config.timing);
+  }
+}
+
+cache::FetchPath& Processor::laneFetchPath(std::size_t lane) {
+  WP_ENSURE(lane < lanes_.size(), "lane index out of range");
+  return lanes_[lane].fetch;
+}
 
 namespace {
 
@@ -46,19 +59,27 @@ constexpr u64 fnv1a(u64 h, u64 v) {
 }  // namespace
 
 RunStats Processor::run() {
+  WP_ENSURE(lanes_.size() == 1,
+            "Processor::run drives one lane; use runLanes() for a group");
+  return std::move(runLanes().front());
+}
+
+std::vector<RunStats> Processor::runLanes() {
   // The block engine's batched fetchLine accounting is closed-form only
   // without a fault hook (hooks observe and corrupt state between
   // individual fetches) and without drowsy lines (a line can fall
   // drowsy between two same-line fetches). Those runs use the reference
   // interpreter — the equivalence suite shows the results are identical
   // wherever both engines apply.
-  if (config_.engine == Engine::kBlock && fetch_.batchedLineFetchExact()) {
-    return runBlock();
-  }
+  const bool exact =
+      std::all_of(lanes_.begin(), lanes_.end(), [](const Lane& l) {
+        return l.fetch.batchedLineFetchExact();
+      });
+  if (config_.engine == Engine::kBlock && exact) return runBlock();
   return runInterp();
 }
 
-RunStats Processor::runInterp() {
+std::vector<RunStats> Processor::runInterp() {
   CoreState state = core_.initialState();
   RunStats stats;
 
@@ -73,13 +94,19 @@ RunStats Processor::runInterp() {
 
   // Flow into the *next* fetch, derived from the previous instruction.
   cache::FetchFlow flow = cache::FetchFlow::kSequential;
+  // Only the precomputed register-use table is read; the interpreter
+  // keeps its one-instruction batches.
+  const BlockCache blocks(core_, config_.fetch.icache.line_bytes);
+  // A local view of the lanes, so guest stores (byte writes, which may
+  // alias anything in memory) never force a reload of the lane array.
+  const std::span<Lane> lanes(lanes_);
 
   while (!state.halted) {
     WP_ENSURE(stats.instructions < config_.max_instructions,
               "instruction budget exhausted (runaway guest?)");
 
     const u32 pc = state.pc;
-    const u32 fetch_cycles = fetch_.fetch(pc, flow);
+    for (Lane& lane : lanes) lane.fetch_cycles = lane.fetch.fetch(pc, flow);
 
     const StepInfo info = core_.step(state);
     ++stats.instructions;
@@ -95,8 +122,13 @@ RunStats Processor::runInterp() {
                             : dcache_.load(*info.mem_addr);
     }
 
-    timing_.onInstruction(info.inst, pc, fetch_cycles, mem_cycles,
-                          info.taken, info.next_pc);
+    // step() has validated pc, so its register-use slot exists; a bad
+    // pc raised there, after the fetches, as it always has.
+    const pipeline::RegUse& use = blocks.regUseAt(pc);
+    for (Lane& lane : lanes) {
+      lane.timing.onInstruction(info.inst, use, pc, lane.fetch_cycles,
+                                mem_cycles, info.taken, info.next_pc);
+    }
 
     if (info.control_transfer && info.taken) {
       flow = info.indirect ? cache::FetchFlow::kTakenIndirect
@@ -113,11 +145,11 @@ RunStats Processor::runInterp() {
     }
   }
 
-  collectInto(stats);
-  return stats;
+  stats.dcache = dcache_.stats();
+  return collect(stats);
 }
 
-RunStats Processor::runBlock() {
+std::vector<RunStats> Processor::runBlock() {
   CoreState state = core_.initialState();
   RunStats stats;
 
@@ -129,7 +161,18 @@ RunStats Processor::runBlock() {
   u64 until_check = hooked ? config_.budget_hook.interval : 0;
 
   cache::FetchFlow flow = cache::FetchFlow::kSequential;
-  const BlockCache blocks(core_, config_.fetch.icache.line_bytes);
+  // Batches end at the smallest line of any lane. A lane with longer
+  // lines then sees one of its lines entered as several batches, which
+  // is exact: re-entering a line sequentially takes the same same-line
+  // fetch paths the interpreter would (see the clipping note below).
+  u32 line_bytes = config_.fetch.icache.line_bytes;
+  for (const Lane& lane : lanes_) {
+    line_bytes = std::min(line_bytes, lane.fetch.config().icache.line_bytes);
+  }
+  const BlockCache blocks(core_, line_bytes);
+  // A local view of the lanes, so guest stores (byte writes, which may
+  // alias anything in memory) never force a reload of the lane array.
+  const std::span<Lane> lanes(lanes_);
 
   while (!state.halted) {
     WP_ENSURE(stats.instructions < config_.max_instructions,
@@ -145,7 +188,9 @@ RunStats Processor::runBlock() {
     if (hooked) n64 = std::min(n64, until_check);
     const u32 n = static_cast<u32>(n64);
 
-    const u32 first_cycles = fetch_.fetchLine(state.pc, flow, n);
+    for (Lane& lane : lanes) {
+      lane.fetch_cycles = lane.fetch.fetchLine(state.pc, flow, n);
+    }
 
     for (u32 i = 0; i < n; ++i) {
       const u32 pc = state.pc;
@@ -165,9 +210,12 @@ RunStats Processor::runBlock() {
 
       // Follow-up fetches within the batch cost exactly one cycle (the
       // fetchLine contract); only the first carries miss/walk penalties.
-      timing_.onInstruction(info.inst, blocks.regUseAt(pc), pc,
-                            i == 0 ? first_cycles : 1, mem_cycles,
-                            info.taken, info.next_pc);
+      const pipeline::RegUse& use = blocks.regUseAt(pc);
+      for (Lane& lane : lanes) {
+        lane.timing.onInstruction(info.inst, use, pc,
+                                  i == 0 ? lane.fetch_cycles : 1, mem_cycles,
+                                  info.taken, info.next_pc);
+      }
 
       // Only the batch's last instruction can transfer control (blocks
       // end at control transfers), but deriving flow uniformly keeps
@@ -186,22 +234,27 @@ RunStats Processor::runBlock() {
     }
   }
 
-  collectInto(stats);
-  return stats;
+  stats.dcache = dcache_.stats();
+  return collect(stats);
 }
 
-void Processor::collectInto(RunStats& stats) const {
-  stats.cycles = timing_.cycles();
-  stats.icache = fetch_.cacheStats();
-  stats.dcache = dcache_.stats();
-  stats.itlb = fetch_.tlbStats();
-  stats.fetch = fetch_.fetchStats();
-  stats.branches = timing_.branchStats();
-  stats.squashed_probes = fetch_.squashedProbes();
-  stats.link_flash_clears = fetch_.linkFlashClears();
-  stats.icache_data_area_factor = fetch_.dataAreaFactor();
-  stats.drowsy = fetch_.drowsyStats();
-  stats.icache_lines = fetch_.icacheLines();
+std::vector<RunStats> Processor::collect(const RunStats& shared) const {
+  std::vector<RunStats> out(lanes_.size(), shared);
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    const Lane& lane = lanes_[i];
+    RunStats& stats = out[i];
+    stats.cycles = lane.timing.cycles();
+    stats.icache = lane.fetch.cacheStats();
+    stats.itlb = lane.fetch.tlbStats();
+    stats.fetch = lane.fetch.fetchStats();
+    stats.branches = lane.timing.branchStats();
+    stats.squashed_probes = lane.fetch.squashedProbes();
+    stats.link_flash_clears = lane.fetch.linkFlashClears();
+    stats.icache_data_area_factor = lane.fetch.dataAreaFactor();
+    stats.drowsy = lane.fetch.drowsyStats();
+    stats.icache_lines = lane.fetch.icacheLines();
+  }
+  return out;
 }
 
 energy::RunEnergy Processor::price(const energy::EnergyModel& model,

@@ -1,9 +1,21 @@
 // The whole simulated processor: functional core + fetch path (way-hint,
 // I-TLB, I-cache) + D-cache + timing model. This is the XTREM substitute
 // the experiments run on.
+//
+// Execute once, price many: fetch happens only on the committed path of
+// this in-order model, so the guest's execution, its D-side stream and
+// its fetch-address stream do not depend on the I-cache geometry, the
+// fetch scheme or the way-placement area. A Processor therefore drives
+// a span of *lanes* — one FetchPath + TimingModel each — from a single
+// execution: the functional core, the D-cache, both stream hashes and
+// block decode run once per instruction, then every lane takes its
+// fetch and its timing update. A solo run is a one-lane processor, so
+// both engines keep one run body each.
 #pragma once
 
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "cache/data_cache.hpp"
 #include "cache/fetch_path.hpp"
@@ -81,6 +93,8 @@ struct RunStats {
   [[nodiscard]] u64 memLineTransfers() const {
     return icache.line_fills + dcache.line_fills + dcache.writebacks;
   }
+
+  bool operator==(const RunStats&) const = default;
 };
 
 class Processor {
@@ -89,35 +103,69 @@ class Processor {
   Processor(const MachineConfig& config, const mem::Image& image,
             mem::Memory& memory);
 
-  /// Runs from the image entry point until HALT; returns activity counts.
+  /// A processor with one lane per entry of @p lanes (at least one),
+  /// all driven by one execution. @p config supplies what the lanes
+  /// share: D-cache, timing parameters, instruction budget, budget hook
+  /// and engine. Its `fetch` field is not used; lane i fetches through
+  /// lanes[i]. Lane i's RunStats equal, field for field, those of a
+  /// solo Processor whose config is @p config with fetch = lanes[i].
+  Processor(const MachineConfig& config,
+            std::span<const cache::FetchPathConfig> lanes,
+            const mem::Image& image, mem::Memory& memory);
+
+  /// Runs a one-lane processor from the image entry point until HALT;
+  /// returns activity counts.
   RunStats run();
+
+  /// Runs from the image entry point until HALT; returns each lane's
+  /// activity counts, in lane order. The instruction count, both hashes
+  /// and the D-cache stats are the shared execution's; the fetch, I-TLB
+  /// and timing fields are the lane's own.
+  std::vector<RunStats> runLanes();
 
   /// Prices a run with @p model, filling a RunEnergy breakdown.
   [[nodiscard]] static energy::RunEnergy price(
       const energy::EnergyModel& model, const MachineConfig& config,
       const RunStats& stats);
 
+  /// The shared configuration; its `fetch` is lane 0's.
   [[nodiscard]] const MachineConfig& config() const { return config_; }
 
-  /// The fetch path, exposed so the driver can attach a fault injector
-  /// (and tests can poke the fault surface directly).
-  [[nodiscard]] cache::FetchPath& fetchPath() { return fetch_; }
+  /// Lane 0's fetch path, exposed so the driver can attach a fault
+  /// injector (and tests can poke the fault surface directly).
+  [[nodiscard]] cache::FetchPath& fetchPath() { return lanes_.front().fetch; }
+  /// Lane @p lane's fetch path.
+  [[nodiscard]] cache::FetchPath& laneFetchPath(std::size_t lane);
 
  private:
-  /// Reference engine: one fetch + step per loop iteration.
-  RunStats runInterp();
-  /// Block engine: decode-once basic blocks, one fetchLine per cache
-  /// line entered. Selected by config_.engine when the fetch path's
+  /// One fetch/timing lane: the I-side state that depends on the
+  /// geometry and scheme, plus the cycles of its pending fetch.
+  struct Lane {
+    Lane(const cache::FetchPathConfig& fetch_config,
+         const pipeline::TimingConfig& timing_config)
+        : fetch(fetch_config), timing(timing_config) {}
+    cache::FetchPath fetch;
+    pipeline::TimingModel timing;
+    u32 fetch_cycles = 0;
+  };
+
+  /// Reference engine: per instruction, one fetch per lane, one step,
+  /// then one timing update per lane.
+  std::vector<RunStats> runInterp();
+  /// Block engine: decode-once basic blocks, one fetchLine per lane per
+  /// cache line entered. Selected by config_.engine when every lane's
   /// batched accounting is exact (no fault hook, no drowsy lines);
-  /// otherwise run() falls back to runInterp(), which is equivalent.
-  RunStats runBlock();
-  void collectInto(RunStats& stats) const;
+  /// otherwise runLanes() falls back to runInterp(), which is
+  /// equivalent.
+  std::vector<RunStats> runBlock();
+  /// Fans the shared counters in @p shared out to one RunStats per
+  /// lane, adding each lane's own fetch, I-TLB and timing state.
+  std::vector<RunStats> collect(const RunStats& shared) const;
 
   MachineConfig config_;
   Core core_;
-  cache::FetchPath fetch_;
   cache::DataCache dcache_;
-  pipeline::TimingModel timing_;
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace wp::sim

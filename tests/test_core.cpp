@@ -152,6 +152,10 @@ struct BranchCase {
   bool expect_taken;
 };
 
+// Prints the case name, so test names listed by --gtest_list_tests (and
+// the ctest names discovered from them) do not embed a pointer address.
+void PrintTo(const BranchCase& c, std::ostream* os) { *os << c.name; }
+
 class CoreBranch : public ::testing::TestWithParam<BranchCase> {};
 
 TEST_P(CoreBranch, Semantics) {

@@ -6,7 +6,9 @@
 // strict WP_ENGINE parse and the engine field of the WP_JSON report.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "driver/checkpoint.hpp"
 #include "driver/sweep.hpp"
@@ -124,6 +126,79 @@ TEST(EngineEquivalence, AllWorkloadsIdenticalAcrossEngines) {
       EXPECT_EQ(driver::statsDigest(interp), driver::statsDigest(block));
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Execute once, price many: a multi-lane Processor drives every lane
+// from one execution, and each lane must equal a solo Processor::run of
+// its configuration, field for field, under both engines.
+
+void expectLanesMatchSoloRuns(sim::Engine engine) {
+  // The second geometry has shorter lines, so the block engine batches
+  // by the smallest line of the group and the 32 B lanes see their
+  // lines entered in halves.
+  const cache::CacheGeometry geometries[] = {kXScale, {4 * 1024, 4, 16}};
+  const struct {
+    cache::Scheme scheme;
+    u32 wp_area;
+  } schemes[] = {
+      {cache::Scheme::kBaseline, 0},
+      {cache::Scheme::kWayMemoization, 0},
+      {cache::Scheme::kWayPlacement, 4 * 1024},
+      {cache::Scheme::kWayPlacement, 1024},
+  };
+  const driver::Runner runner;
+  for (const std::string& name : workloads::suiteNames()) {
+    SCOPED_TRACE(name);
+    const driver::PreparedWorkload p = runner.prepare(name);
+    for (const char* layout : {"original", "way_placement"}) {
+      SCOPED_TRACE(layout);
+      const mem::Image& image = p.imageFor(layout);
+      sim::MachineConfig shared = sim::baselineMachine();
+      shared.engine = engine;
+      std::vector<cache::FetchPathConfig> lanes;
+      for (const cache::CacheGeometry& g : geometries) {
+        for (const auto& s : schemes) {
+          cache::FetchPathConfig f = shared.fetch;
+          f.icache = g;
+          f.scheme = s.scheme;
+          f.wp_area_bytes = s.wp_area;
+          lanes.push_back(f);
+        }
+      }
+      // The small input keeps 23 x 2 x 2 x 9 runs quick; every
+      // workload still runs its whole program.
+      const auto freshMemory = [&] {
+        auto memory = std::make_unique<mem::Memory>();
+        image.loadInto(*memory);
+        p.workload->prepare(*memory, workloads::InputSize::kSmall);
+        return memory;
+      };
+      const auto group_memory = freshMemory();
+      sim::Processor group(shared, lanes, image, *group_memory);
+      const std::vector<sim::RunStats> grouped = group.runLanes();
+      ASSERT_EQ(grouped.size(), lanes.size());
+      for (std::size_t i = 0; i < lanes.size(); ++i) {
+        SCOPED_TRACE(i);
+        sim::MachineConfig solo_config = shared;
+        solo_config.fetch = lanes[i];
+        const auto solo_memory = freshMemory();
+        sim::Processor solo(solo_config, image, *solo_memory);
+        EXPECT_TRUE(solo.run() == grouped[i])
+            << "lane " << i << " differs from its solo run";
+      }
+      EXPECT_EQ(p.workload->output(*group_memory),
+                p.workload->expected(workloads::InputSize::kSmall));
+    }
+  }
+}
+
+TEST(EngineEquivalence, SharedExecutionLanesMatchSoloRunsUnderInterp) {
+  expectLanesMatchSoloRuns(sim::Engine::kInterp);
+}
+
+TEST(EngineEquivalence, SharedExecutionLanesMatchSoloRunsUnderBlock) {
+  expectLanesMatchSoloRuns(sim::Engine::kBlock);
 }
 
 }  // namespace

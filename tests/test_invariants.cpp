@@ -15,6 +15,9 @@ struct SchemeCase {
   driver::SchemeSpec spec;
 };
 
+// Prints the case name, so listed test names stay the same on every run.
+void PrintTo(const SchemeCase& c, std::ostream* os) { *os << c.name; }
+
 class CounterInvariants : public ::testing::TestWithParam<SchemeCase> {};
 
 TEST_P(CounterInvariants, HoldOnRealRun) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -376,6 +377,196 @@ TEST(SweepTrace, WritesEventsAndDoesNotPerturbResults) {
   EXPECT_EQ(count("cell_start"), 2) << "baseline + way-placement";
   EXPECT_EQ(count("cell_end"), 2);
   EXPECT_GE(count("memo_hit"), 1) << "the explicit run() re-read a cell";
+}
+
+// ---------------------------------------------------------------------
+// Shared execution: runAll prices the cells of one (workload, layout)
+// from one guest execution. Every cell must still equal its solo
+// Runner::run, keep its own memo entry and counter, fail alone, and
+// replay from a warm store.
+
+/// A Fig. 6-shaped grid on two geometries: way-memoization and three
+/// way-placement areas per geometry, baselines implied.
+std::vector<driver::SweepExecutor::Cell> fig6StyleGrid() {
+  std::vector<driver::SweepExecutor::Cell> grid;
+  for (const cache::CacheGeometry& g :
+       {cache::CacheGeometry{16 * 1024, 8, 32}, kXScale}) {
+    grid.push_back({g, driver::SchemeSpec::wayMemoization()});
+    for (const u32 kb : {16u, 4u, 1u}) {
+      grid.push_back({g, driver::SchemeSpec::wayPlacement(kb * 1024)});
+    }
+  }
+  return grid;
+}
+
+/// Distinct cells of fig6StyleGrid on fastSubset(): per workload and
+/// geometry, one baseline plus four schemes.
+constexpr u64 kFig6StyleCells = 2 * 2 * 5;
+
+void expectSameResult(const driver::RunResult& a, const driver::RunResult& b) {
+  EXPECT_TRUE(a.stats == b.stats);
+  EXPECT_EQ(a.energy.total(), b.energy.total());
+  EXPECT_EQ(a.energy.icacheTotal(), b.energy.icacheTotal());
+  EXPECT_EQ(a.energy.itlb, b.energy.itlb);
+  EXPECT_EQ(a.energy.core, b.energy.core);
+  EXPECT_EQ(a.energy.memory, b.energy.memory);
+  EXPECT_EQ(a.output, b.output);
+  EXPECT_EQ(a.layout_strategy, b.layout_strategy);
+  EXPECT_EQ(a.layout_chains, b.layout_chains);
+  EXPECT_EQ(a.layout_repairs, b.layout_repairs);
+  EXPECT_EQ(a.wp_area_coverage, b.wp_area_coverage);
+  // The digest the store and journal verify covers all of the above.
+  EXPECT_EQ(driver::statsDigest(a), driver::statsDigest(b));
+}
+
+TEST(SweepSharedExecution, GroupedCellsEqualRunnerRunAtOneAndFourJobs) {
+  const std::vector<driver::SweepExecutor::Cell> grid = fig6StyleGrid();
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    driver::SweepExecutor suite(fastSubset(), energy::EnergyParams{}, 0,
+                                jobs);
+    suite.runAll(grid);
+    EXPECT_EQ(suite.metrics().counter("cells.computed").value(),
+              kFig6StyleCells);
+    EXPECT_EQ(suite.metrics().counter("cells.shared").value(),
+              kFig6StyleCells)
+        << "every cell of this grid runs as a lane of a group";
+    EXPECT_GE(suite.metrics().counter("exec_groups").value(), 4u)
+        << "at least one execution per (workload, image)";
+    for (const driver::PreparedWorkload& p : suite.prepared()) {
+      for (const driver::SweepExecutor::Cell& cell : grid) {
+        for (const driver::SchemeSpec& spec :
+             {driver::SchemeSpec::baseline(), cell.spec}) {
+          SCOPED_TRACE(driver::SweepExecutor::keyOf(p.name, cell.icache, spec));
+          const auto view = suite.tryRun(p, cell.icache, spec);
+          ASSERT_NE(view.result, nullptr);
+          EXPECT_EQ(view.attempts, 1u);
+          expectSameResult(*view.result,
+                           suite.runner().run(p, cell.icache, spec));
+        }
+      }
+    }
+    EXPECT_EQ(suite.metrics().counter("cells.computed").value(),
+              kFig6StyleCells)
+        << "reading the grid back computes nothing";
+  }
+}
+
+TEST(SweepSharedExecution, ComputesEachDistinctCellOnceAtOneAndFourJobs) {
+  // The grid twice over, in one call and then again: duplicates and
+  // already-settled cells are memo hits, never a second compute.
+  std::vector<driver::SweepExecutor::Cell> grid = fig6StyleGrid();
+  const std::vector<driver::SweepExecutor::Cell> once = grid;
+  grid.insert(grid.end(), once.begin(), once.end());
+  const u64 requests = 2 * fastSubset().size() * grid.size();
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE(jobs);
+    driver::SweepExecutor suite(fastSubset(), energy::EnergyParams{}, 0,
+                                jobs);
+    suite.runAll(grid);
+    EXPECT_EQ(suite.metrics().counter("cells.computed").value(),
+              kFig6StyleCells);
+    EXPECT_EQ(suite.metrics().counter("memo.hits").value(),
+              requests - kFig6StyleCells);
+    suite.runAll(once);
+    EXPECT_EQ(suite.metrics().counter("cells.computed").value(),
+              kFig6StyleCells);
+  }
+}
+
+TEST(SweepSharedExecution, OnlyTheFailingCellsQuarantineInAMixedGrid) {
+  // Clean cells share executions; a spec-level persistent cell fault
+  // and a drowsy cell run solo beside them. A way-placement area that
+  // is not a whole number of pages is groupable but fails in Runner,
+  // so its whole way-placed group throws and every member falls back
+  // to the solo ladder. Each failure must cost its own cell alone, and
+  // every neighbour must equal its solo result.
+  const cache::CacheGeometry g16{16 * 1024, 8, 32};
+  driver::SchemeSpec faulted = driver::SchemeSpec::wayPlacement(4 * 1024);
+  faulted.fault.cell_fault = fault::CellFault::kPersistent;
+  driver::SchemeSpec drowsy = driver::SchemeSpec::wayMemoization();
+  drowsy.drowsy_window = 256;
+  const driver::SchemeSpec bad_area = driver::SchemeSpec::wayPlacement(1536);
+  const std::vector<driver::SweepExecutor::Cell> grid = {
+      {kXScale, driver::SchemeSpec::wayMemoization()},
+      {kXScale, driver::SchemeSpec::wayPlacement(4 * 1024)},
+      {kXScale, faulted},
+      {kXScale, drowsy},
+      {kXScale, driver::SchemeSpec::wayPlacement(1024)},
+      {kXScale, bad_area},
+      {g16, driver::SchemeSpec::wayPlacement(4 * 1024)},
+  };
+  driver::SupervisorConfig sc;
+  sc.retries = 1;
+  driver::SweepExecutor suite(fastSubset(), energy::EnergyParams{}, 0, 2,
+                              &sc);
+  suite.runAll(grid);
+
+  const std::vector<driver::SweepExecutor::QuarantinedCell> quar =
+      suite.quarantined();
+  ASSERT_EQ(quar.size(), 2 * fastSubset().size())
+      << "the faulted and the bad-area cell of each workload";
+  for (const driver::PreparedWorkload& p : suite.prepared()) {
+    for (const driver::SweepExecutor::Cell& cell : grid) {
+      for (const driver::SchemeSpec& spec :
+           {driver::SchemeSpec::baseline(), cell.spec}) {
+        const std::string key =
+            driver::SweepExecutor::keyOf(p.name, cell.icache, spec);
+        SCOPED_TRACE(key);
+        const auto view = suite.tryRun(p, cell.icache, spec);
+        if (spec.fault.cellFaultEnabled() || spec.wp_area_bytes == 1536) {
+          EXPECT_TRUE(view.quarantined);
+          EXPECT_EQ(view.attempts, 2u) << "the solo ladder ran in full";
+          continue;
+        }
+        ASSERT_FALSE(view.quarantined);
+        expectSameResult(*view.result,
+                         suite.runner().run(p, cell.icache, spec));
+      }
+    }
+  }
+  EXPECT_EQ(suite.metrics().counter("exec_groups.failed").value(),
+            fastSubset().size())
+      << "the way-placed group of each workload failed once";
+  EXPECT_EQ(suite.metrics().counter("cells.shared").value(),
+            fastSubset().size() * 3)
+      << "per workload, only the original image's group (two baselines "
+         "and way-memoization) shared an execution";
+}
+
+TEST(SweepSharedExecution, WarmStoreReplaysAGroupedSweepComputingNothing) {
+  const std::string dir = testing::TempDir() + "sweep_shared_store";
+  std::filesystem::remove_all(dir);
+  ScopedEnv env("WP_STORE", dir.c_str());
+  const std::vector<driver::SweepExecutor::Cell> grid = fig6StyleGrid();
+  const auto energy = [](const driver::Normalized& n) {
+    return n.icache_energy;
+  };
+  std::vector<double> cold_means;
+  {
+    driver::SweepExecutor cold(fastSubset(), energy::EnergyParams{}, 0, 2);
+    cold.runAll(grid);
+    EXPECT_EQ(cold.metrics().counter("cells.computed").value(),
+              kFig6StyleCells);
+    EXPECT_EQ(cold.metrics().counter("cells.shared").value(), kFig6StyleCells);
+    EXPECT_EQ(cold.metrics().counter("store.records_written").value(),
+              kFig6StyleCells);
+    for (const auto& cell : grid) {
+      cold_means.push_back(cold.averageNormalized(cell.icache, cell.spec,
+                                                  energy));
+    }
+  }
+  driver::SweepExecutor warm(fastSubset(), energy::EnergyParams{}, 0, 2);
+  warm.runAll(grid);
+  EXPECT_EQ(warm.metrics().counter("cells.computed").value(), 0u);
+  EXPECT_EQ(warm.metrics().counter("exec_groups").value(), 0u);
+  EXPECT_EQ(warm.metrics().counter("cells.from_store").value(),
+            kFig6StyleCells);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(warm.averageNormalized(grid[i].icache, grid[i].spec, energy),
+              cold_means[i]);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
