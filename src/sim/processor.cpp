@@ -34,18 +34,18 @@ Processor::Processor(const MachineConfig& config, const mem::Image& image,
 Processor::Processor(const MachineConfig& config,
                      std::span<const cache::FetchPathConfig> lanes,
                      const mem::Image& image, mem::Memory& memory)
-    : config_(config), core_(image, memory), dcache_(config.dcache) {
-  WP_ENSURE(!lanes.empty(), "a Processor needs at least one lane");
+    : config_(config),
+      core_(image, memory),
+      dcache_(config.dcache),
+      fetch_(lanes.begin(), lanes.end()),
+      fetch_cycles_(lanes.size()),
+      timing_(config.timing, lanes.size()) {
   config_.fetch = lanes.front();
-  lanes_.reserve(lanes.size());
-  for (const cache::FetchPathConfig& fetch : lanes) {
-    lanes_.emplace_back(fetch, config.timing);
-  }
 }
 
 cache::FetchPath& Processor::laneFetchPath(std::size_t lane) {
-  WP_ENSURE(lane < lanes_.size(), "lane index out of range");
-  return lanes_[lane].fetch;
+  WP_ENSURE(lane < fetch_.size(), "lane index out of range");
+  return fetch_[lane];
 }
 
 namespace {
@@ -59,7 +59,7 @@ constexpr u64 fnv1a(u64 h, u64 v) {
 }  // namespace
 
 RunStats Processor::run() {
-  WP_ENSURE(lanes_.size() == 1,
+  WP_ENSURE(fetch_.size() == 1,
             "Processor::run drives one lane; use runLanes() for a group");
   return std::move(runLanes().front());
 }
@@ -72,8 +72,8 @@ std::vector<RunStats> Processor::runLanes() {
   // interpreter — the equivalence suite shows the results are identical
   // wherever both engines apply.
   const bool exact =
-      std::all_of(lanes_.begin(), lanes_.end(), [](const Lane& l) {
-        return l.fetch.batchedLineFetchExact();
+      std::all_of(fetch_.begin(), fetch_.end(), [](const cache::FetchPath& f) {
+        return f.batchedLineFetchExact();
       });
   if (config_.engine == Engine::kBlock && exact) return runBlock();
   return runInterp();
@@ -97,16 +97,21 @@ std::vector<RunStats> Processor::runInterp() {
   // Only the precomputed register-use table is read; the interpreter
   // keeps its one-instruction batches.
   const BlockCache blocks(core_, config_.fetch.icache.line_bytes);
-  // A local view of the lanes, so guest stores (byte writes, which may
-  // alias anything in memory) never force a reload of the lane array.
-  const std::span<Lane> lanes(lanes_);
+  // Local views of the lanes, so guest stores (byte writes, which may
+  // alias anything in memory) never force a reload of the lane arrays.
+  const std::span<cache::FetchPath> fetch(fetch_);
+  const std::span<u32> fetch_cycles(fetch_cycles_);
 
   while (!state.halted) {
     WP_ENSURE(stats.instructions < config_.max_instructions,
               "instruction budget exhausted (runaway guest?)");
 
     const u32 pc = state.pc;
-    for (Lane& lane : lanes) lane.fetch_cycles = lane.fetch.fetch(pc, flow);
+    for (std::size_t i = 0; i < fetch.size(); ++i) {
+      fetch_cycles[i] = fetch[i].fetch(pc, flow);
+    }
+    const std::span<pipeline::TimingModel> classes =
+        timing_.enter(fetch_cycles);
 
     const StepInfo info = core_.step(state);
     ++stats.instructions;
@@ -125,10 +130,11 @@ std::vector<RunStats> Processor::runInterp() {
     // step() has validated pc, so its register-use slot exists; a bad
     // pc raised there, after the fetches, as it always has.
     const pipeline::RegUse& use = blocks.regUseAt(pc);
-    for (Lane& lane : lanes) {
-      lane.timing.onInstruction(info.inst, use, pc, lane.fetch_cycles,
-                                mem_cycles, info.taken, info.next_pc);
+    for (pipeline::TimingModel& timing : classes) {
+      timing.onInstruction(info.inst, use, pc, 1, mem_cycles, info.taken,
+                           info.next_pc);
     }
+    timing_.leave();
 
     if (info.control_transfer && info.taken) {
       flow = info.indirect ? cache::FetchFlow::kTakenIndirect
@@ -166,13 +172,14 @@ std::vector<RunStats> Processor::runBlock() {
   // is exact: re-entering a line sequentially takes the same same-line
   // fetch paths the interpreter would (see the clipping note below).
   u32 line_bytes = config_.fetch.icache.line_bytes;
-  for (const Lane& lane : lanes_) {
-    line_bytes = std::min(line_bytes, lane.fetch.config().icache.line_bytes);
+  for (const cache::FetchPath& f : fetch_) {
+    line_bytes = std::min(line_bytes, f.config().icache.line_bytes);
   }
   const BlockCache blocks(core_, line_bytes);
-  // A local view of the lanes, so guest stores (byte writes, which may
-  // alias anything in memory) never force a reload of the lane array.
-  const std::span<Lane> lanes(lanes_);
+  // Local views of the lanes, so guest stores (byte writes, which may
+  // alias anything in memory) never force a reload of the lane arrays.
+  const std::span<cache::FetchPath> fetch(fetch_);
+  const std::span<u32> fetch_cycles(fetch_cycles_);
 
   while (!state.halted) {
     WP_ENSURE(stats.instructions < config_.max_instructions,
@@ -188,9 +195,13 @@ std::vector<RunStats> Processor::runBlock() {
     if (hooked) n64 = std::min(n64, until_check);
     const u32 n = static_cast<u32>(n64);
 
-    for (Lane& lane : lanes) {
-      lane.fetch_cycles = lane.fetch.fetchLine(state.pc, flow, n);
+    for (std::size_t i = 0; i < fetch.size(); ++i) {
+      fetch_cycles[i] = fetch[i].fetchLine(state.pc, flow, n);
     }
+    // Only the first fetch of the batch carries miss/walk penalties;
+    // the follow-ups cost exactly one cycle (the fetchLine contract).
+    const std::span<pipeline::TimingModel> classes =
+        timing_.enter(fetch_cycles);
 
     for (u32 i = 0; i < n; ++i) {
       const u32 pc = state.pc;
@@ -208,13 +219,10 @@ std::vector<RunStats> Processor::runBlock() {
                               : dcache_.load(*info.mem_addr);
       }
 
-      // Follow-up fetches within the batch cost exactly one cycle (the
-      // fetchLine contract); only the first carries miss/walk penalties.
       const pipeline::RegUse& use = blocks.regUseAt(pc);
-      for (Lane& lane : lanes) {
-        lane.timing.onInstruction(info.inst, use, pc,
-                                  i == 0 ? lane.fetch_cycles : 1, mem_cycles,
-                                  info.taken, info.next_pc);
+      for (pipeline::TimingModel& timing : classes) {
+        timing.onInstruction(info.inst, use, pc, 1, mem_cycles, info.taken,
+                             info.next_pc);
       }
 
       // Only the batch's last instruction can transfer control (blocks
@@ -227,6 +235,7 @@ std::vector<RunStats> Processor::runBlock() {
         flow = cache::FetchFlow::kSequential;
       }
     }
+    timing_.leave();
 
     if (hooked && (until_check -= n) == 0) {
       config_.budget_hook.check(stats.instructions);
@@ -239,20 +248,21 @@ std::vector<RunStats> Processor::runBlock() {
 }
 
 std::vector<RunStats> Processor::collect(const RunStats& shared) const {
-  std::vector<RunStats> out(lanes_.size(), shared);
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    const Lane& lane = lanes_[i];
+  timing_.checkInvariants();
+  std::vector<RunStats> out(fetch_.size(), shared);
+  for (std::size_t i = 0; i < fetch_.size(); ++i) {
+    const cache::FetchPath& f = fetch_[i];
     RunStats& stats = out[i];
-    stats.cycles = lane.timing.cycles();
-    stats.icache = lane.fetch.cacheStats();
-    stats.itlb = lane.fetch.tlbStats();
-    stats.fetch = lane.fetch.fetchStats();
-    stats.branches = lane.timing.branchStats();
-    stats.squashed_probes = lane.fetch.squashedProbes();
-    stats.link_flash_clears = lane.fetch.linkFlashClears();
-    stats.icache_data_area_factor = lane.fetch.dataAreaFactor();
-    stats.drowsy = lane.fetch.drowsyStats();
-    stats.icache_lines = lane.fetch.icacheLines();
+    stats.cycles = timing_.cycles(i);
+    stats.icache = f.cacheStats();
+    stats.itlb = f.tlbStats();
+    stats.fetch = f.fetchStats();
+    stats.branches = timing_.branchStats();
+    stats.squashed_probes = f.squashedProbes();
+    stats.link_flash_clears = f.linkFlashClears();
+    stats.icache_data_area_factor = f.dataAreaFactor();
+    stats.drowsy = f.drowsyStats();
+    stats.icache_lines = f.icacheLines();
   }
   return out;
 }

@@ -6,11 +6,12 @@
 // this in-order model, so the guest's execution, its D-side stream and
 // its fetch-address stream do not depend on the I-cache geometry, the
 // fetch scheme or the way-placement area. A Processor therefore drives
-// a span of *lanes* — one FetchPath + TimingModel each — from a single
-// execution: the functional core, the D-cache, both stream hashes and
-// block decode run once per instruction, then every lane takes its
-// fetch and its timing update. A solo run is a one-lane processor, so
-// both engines keep one run body each.
+// a span of *lanes* — one FetchPath each — from a single execution: the
+// functional core, the D-cache, both stream hashes and block decode run
+// once per instruction, and every lane takes its fetch. Timing runs once
+// per timing class (pipeline::TimingClasses): lanes whose scoreboards
+// have the same shape share one TimingModel. A solo run is a one-lane
+// processor, so both engines keep one run body each.
 #pragma once
 
 #include <functional>
@@ -133,24 +134,13 @@ class Processor {
 
   /// Lane 0's fetch path, exposed so the driver can attach a fault
   /// injector (and tests can poke the fault surface directly).
-  [[nodiscard]] cache::FetchPath& fetchPath() { return lanes_.front().fetch; }
+  [[nodiscard]] cache::FetchPath& fetchPath() { return fetch_.front(); }
   /// Lane @p lane's fetch path.
   [[nodiscard]] cache::FetchPath& laneFetchPath(std::size_t lane);
 
  private:
-  /// One fetch/timing lane: the I-side state that depends on the
-  /// geometry and scheme, plus the cycles of its pending fetch.
-  struct Lane {
-    Lane(const cache::FetchPathConfig& fetch_config,
-         const pipeline::TimingConfig& timing_config)
-        : fetch(fetch_config), timing(timing_config) {}
-    cache::FetchPath fetch;
-    pipeline::TimingModel timing;
-    u32 fetch_cycles = 0;
-  };
-
   /// Reference engine: per instruction, one fetch per lane, one step,
-  /// then one timing update per lane.
+  /// then one timing update per timing class.
   std::vector<RunStats> runInterp();
   /// Block engine: decode-once basic blocks, one fetchLine per lane per
   /// cache line entered. Selected by config_.engine when every lane's
@@ -165,7 +155,11 @@ class Processor {
   MachineConfig config_;
   Core core_;
   cache::DataCache dcache_;
-  std::vector<Lane> lanes_;
+  /// Lane i's I-side state: what depends on its geometry and scheme.
+  std::vector<cache::FetchPath> fetch_;
+  /// Scratch: the cycles of each lane's pending fetch.
+  std::vector<u32> fetch_cycles_;
+  pipeline::TimingClasses timing_;
 };
 
 }  // namespace wp::sim

@@ -86,7 +86,7 @@ CoRunStats GuestScheduler::run() {
   // match of the Processor engines' loop bodies so a one-process co-run
   // stays bit-identical to a solo run.
   const auto retire = [&](ProcessContext& p, u32 pc, const StepInfo& info,
-                          u32 fetch_cycles, bool block_engine) {
+                          u32 fetch_cycles) {
     ++c.instructions;
     ++p.instructions;
     c.retired_pc_hash = fnv1a(c.retired_pc_hash, pc);
@@ -103,14 +103,9 @@ CoRunStats GuestScheduler::run() {
                             : p.dcache.load(*info.mem_addr);
     }
 
-    if (block_engine) {
-      p.timing.onInstruction(info.inst, p.blocks.regUseAt(pc), pc,
-                             fetch_cycles, mem_cycles, info.taken,
-                             info.next_pc);
-    } else {
-      p.timing.onInstruction(info.inst, pc, fetch_cycles, mem_cycles,
-                             info.taken, info.next_pc);
-    }
+    // step() has validated pc, so its register-use slot exists.
+    p.timing.onInstruction(info.inst, p.blocks.regUseAt(pc), pc, fetch_cycles,
+                           mem_cycles, info.taken, info.next_pc);
 
     if (info.control_transfer && info.taken) {
       p.flow = info.indirect ? cache::FetchFlow::kTakenIndirect
@@ -152,8 +147,7 @@ CoRunStats GuestScheduler::run() {
         for (u32 i = 0; i < n; ++i) {
           const u32 pc = p.state.pc;
           const StepInfo info = p.core.step(p.state);
-          retire(p, pc, info, i == 0 ? first_cycles : 1,
-                 /*block_engine=*/true);
+          retire(p, pc, info, i == 0 ? first_cycles : 1);
         }
         slice_remaining -= n;
         if (hooked && (until_check -= n) == 0) {
@@ -164,7 +158,7 @@ CoRunStats GuestScheduler::run() {
         const u32 pc = p.state.pc;
         const u32 fetch_cycles = fetch_.fetch(pc, p.flow);
         const StepInfo info = p.core.step(p.state);
-        retire(p, pc, info, fetch_cycles, /*block_engine=*/false);
+        retire(p, pc, info, fetch_cycles);
         --slice_remaining;
         if (hooked && --until_check == 0) {
           machine_.budget_hook.check(c.instructions);
